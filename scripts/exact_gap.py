@@ -26,11 +26,11 @@ REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.core.search import SolveConfig  # noqa: E402
+from repro.faults.collapse import select_stuck_at_faults  # noqa: E402
 from repro.flow import design_ced  # noqa: E402
 from repro.fsm.benchmarks import HAND_WRITTEN, load_benchmark  # noqa: E402
 from repro.verification.corpus import load_seed_corpus  # noqa: E402
 from repro.verification.exhaustive import (  # noqa: E402
-    collapsed_fault_list,
     exhaustive_check,
     replay_witness,
 )
@@ -48,11 +48,13 @@ def exact_report(fsm, semantics):
         max_faults=MAX_FAULTS,
         solve_config=SolveConfig(seed=SEED),
     )
-    _, _, faults = collapsed_fault_list(design.synthesis, MAX_FAULTS, SEED)
+    faults = select_stuck_at_faults(
+        design.synthesis, max_faults=MAX_FAULTS, seed=SEED
+    ).checked
     report = exhaustive_check(
         design.synthesis, design.hardware, faults, LATENCY
     )
-    return design, report
+    return design, report, {fault.name: fault for fault in faults}
 
 
 def main() -> int:
@@ -72,8 +74,8 @@ def main() -> int:
     print("-" * len(header))
 
     for fsm in machines:
-        chk_design, chk = exact_report(fsm, "checker")
-        trj_design, trj = exact_report(fsm, "trajectory")
+        chk_design, chk, _ = exact_report(fsm, "checker")
+        trj_design, trj, trj_faults = exact_report(fsm, "trajectory")
         if not chk.clean:
             checker_dirty += 1
         escapes = trj.escapes
@@ -81,13 +83,7 @@ def main() -> int:
             replay_witness(
                 trj_design.synthesis,
                 trj_design.hardware,
-                next(
-                    f.payload
-                    for f in collapsed_fault_list(
-                        trj_design.synthesis, MAX_FAULTS, SEED
-                    )[2]
-                    if f.name == verdict.fault
-                ),
+                trj_faults[verdict.fault].payload,
                 verdict.witness,
             )
             for verdict in escapes

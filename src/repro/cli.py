@@ -672,8 +672,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     )
     report = design.verification
     assert report is not None
+    truncated = ", table truncated" if design.table.stats.truncated else ""
     print(f"{fsm.name} ({args.semantics} semantics, "
-          f"q={design.num_parity_bits}): {report.summary()}")
+          f"q={design.num_parity_bits}{truncated}): {report.summary()}")
     for violation in report.violations[:10]:
         print(f"  violation: {violation}")
     if len(report.violations) > 10:

@@ -51,8 +51,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.faults.model import Fault, FaultModel, is_netlist_fault
-from repro.logic.sim import evaluate_batch
+from repro.faults.model import Fault, FaultModel
+from repro.faults.responses import (
+    FaultResponses,
+    reachable_state_codes,
+    responses_for,
+)
 from repro.logic.synthesis import SynthesisResult
 from repro.runtime.trace import current_tracer
 
@@ -299,26 +303,6 @@ def input_alphabet(
     return np.array(ordered, dtype=np.int64), "cube"
 
 
-def reachable_state_codes(
-    synthesis: SynthesisResult, alphabet: np.ndarray
-) -> list[int]:
-    """State codes reachable from reset in the synthesized good machine."""
-    evaluator = _StateEvaluator(synthesis, alphabet)
-    seen = {synthesis.reset_code}
-    frontier = [synthesis.reset_code]
-    while frontier:
-        evaluator.ensure(frontier)
-        next_frontier: list[int] = []
-        for code in frontier:
-            _, next_codes = evaluator.info(code)
-            for next_code in {int(c) for c in next_codes}:
-                if next_code not in seen:
-                    seen.add(next_code)
-                    next_frontier.append(next_code)
-        frontier = next_frontier
-    return sorted(seen)
-
-
 # ----------------------------------------------------------------------
 # Incremental extraction state
 #
@@ -511,22 +495,9 @@ def extend_extraction_state(
     faults = fault_model.faults()
     if tuple(fault.name for fault in faults) != state.fault_names:
         raise ValueError("fault universe does not match the extraction state")
-    good = _StateEvaluator(synthesis, state.alphabet)
-    good.ensure(state.reachable)
-    shared = _SharedFaultBlock(
-        synthesis, fault_model, state.alphabet, state.reachable
-    )
+    responses = responses_for(synthesis, fault_model, state.alphabet)
     for fault, frontier in zip(faults, state.frontiers):
-        extractor = _FaultExtractor(
-            synthesis,
-            fault_model,
-            fault,
-            state.alphabet,
-            good,
-            config,
-            shared=shared,
-            frontier=frontier,
-        )
+        extractor = _FaultExtractor(responses, fault, config, frontier)
         extractor.discover(state.reachable)
         for p in needed:
             if p not in frontier.rows:
@@ -792,120 +763,6 @@ def extract_table(
 # ----------------------------------------------------------------------
 # Internals
 # ----------------------------------------------------------------------
-class _StateEvaluator:
-    """Batch evaluation of the *good* netlist, cached per state code."""
-
-    def __init__(self, synthesis: SynthesisResult, alphabet: np.ndarray) -> None:
-        self.synthesis = synthesis
-        self.alphabet = alphabet
-        self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def ensure(self, codes: list[int]) -> None:
-        missing = [code for code in codes if code not in self._cache]
-        if not missing:
-            return
-        patterns = _patterns(self.synthesis, missing, self.alphabet)
-        responses = evaluate_batch(self.synthesis.netlist, patterns)
-        packed = _pack_bits(responses).reshape(len(missing), -1)
-        mask = (1 << self.synthesis.num_state_bits) - 1
-        for idx, code in enumerate(missing):
-            self._cache[code] = (packed[idx], packed[idx] & mask)
-
-    def info(self, code: int) -> tuple[np.ndarray, np.ndarray]:
-        """(packed responses, next-state codes), one entry per alphabet input."""
-        if code not in self._cache:
-            self.ensure([code])
-        return self._cache[code]
-
-
-class _SharedFaultBlock:
-    """The reachable-block patterns, simulated once and shared by every fault.
-
-    Every fault's evaluator needs responses on the same
-    ``reachable × alphabet`` pattern block.  For netlist-level fault models
-    the fault-free packed node values of that block are computed here a
-    single time (via :meth:`FaultModel.batch_simulator`); each fault is
-    then one cone-restricted word-parallel re-sweep instead of a
-    whole-netlist re-simulation.  Models without a shared simulator (or
-    non-netlist faults) fall back to per-fault :meth:`faulty_responses`.
-    """
-
-    def __init__(
-        self,
-        synthesis: SynthesisResult,
-        fault_model: FaultModel,
-        alphabet: np.ndarray,
-        codes: list[int],
-    ) -> None:
-        self.index = {code: idx for idx, code in enumerate(codes)}
-        self.simulator = None
-        batch = getattr(fault_model, "batch_simulator", None)
-        if batch is not None and codes:
-            patterns = _patterns(synthesis, list(codes), alphabet)
-            self.simulator = batch(patterns)
-
-    def faulty_packed(self, fault: Fault) -> np.ndarray | None:
-        """(num_codes, alphabet_size) packed response words, or ``None``."""
-        if self.simulator is None or not is_netlist_fault(fault):
-            return None
-        node, value = fault.payload  # type: ignore[misc]
-        responses = self.simulator.faulty_outputs((int(node), int(value)))
-        return _pack_bits(responses).reshape(len(self.index), -1)
-
-
-class _BadEvaluator:
-    """Batch evaluation of one fault's faulty responses, cached per state."""
-
-    def __init__(
-        self,
-        synthesis: SynthesisResult,
-        fault_model: FaultModel,
-        fault: Fault,
-        alphabet: np.ndarray,
-        shared: "_SharedFaultBlock | None" = None,
-    ) -> None:
-        self.synthesis = synthesis
-        self.fault_model = fault_model
-        self.fault = fault
-        self.alphabet = alphabet
-        self.shared = shared
-        self._shared_rows: np.ndarray | None = None
-        self._shared_tried = False
-        self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def ensure(self, codes: list[int]) -> None:
-        missing = [code for code in codes if code not in self._cache]
-        if not missing:
-            return
-        mask = (1 << self.synthesis.num_state_bits) - 1
-        if self.shared is not None:
-            if not self._shared_tried:
-                self._shared_tried = True
-                self._shared_rows = self.shared.faulty_packed(self.fault)
-            if self._shared_rows is not None:
-                rest: list[int] = []
-                for code in missing:
-                    idx = self.shared.index.get(code)
-                    if idx is None:
-                        rest.append(code)
-                        continue
-                    row = self._shared_rows[idx]
-                    self._cache[code] = (row, row & mask)
-                missing = rest
-        if not missing:
-            return
-        patterns = _patterns(self.synthesis, missing, self.alphabet)
-        responses = self.fault_model.faulty_responses(self.fault, patterns)
-        packed = _pack_bits(responses).reshape(len(missing), -1)
-        for idx, code in enumerate(missing):
-            self._cache[code] = (packed[idx], packed[idx] & mask)
-
-    def info(self, code: int) -> tuple[np.ndarray, np.ndarray]:
-        if code not in self._cache:
-            self.ensure([code])
-        return self._cache[code]
-
-
 class _FaultExtractor:
     """Per-fault path enumeration with memoized suffix antichains.
 
@@ -924,31 +781,33 @@ class _FaultExtractor:
 
     def __init__(
         self,
-        synthesis: SynthesisResult,
-        fault_model: FaultModel,
+        responses: FaultResponses,
         fault: Fault,
-        alphabet: np.ndarray,
-        good: _StateEvaluator,
         config: TableConfig,
-        shared: "_SharedFaultBlock | None" = None,
-        frontier: ExtractionFrontier | None = None,
+        frontier: ExtractionFrontier,
     ) -> None:
-        self.synthesis = synthesis
-        self.alphabet = alphabet
-        self.good = good
-        self.bad = _BadEvaluator(
-            synthesis, fault_model, fault, alphabet, shared=shared
-        )
+        self.responses = responses
+        self.fault = fault
         self.config = config
         self.trajectory = config.semantics == "trajectory"
-        self.frontier = (
-            frontier
-            if frontier is not None
-            else ExtractionFrontier(fault_name=fault.name)
-        )
+        self.frontier = frontier
         self._packed_memo = self.frontier.suffix_memo
         self._step_memo = self.frontier.step_memo
         self._truncated_keys = self.frontier.truncated_keys
+        self._rows: dict[int, tuple[np.ndarray, ...]] = {}
+
+    def _load(self) -> None:
+        """(good words, good next, faulty words, faulty next) per code of
+        the fault's closure, which holds every pair the enumeration visits
+        (the reference is the faulty state or good-reachable).  Lazy: a
+        fault whose rows are all memoized never reads the block."""
+        if self._rows:
+            return
+        entry = self.responses.response(self.fault)
+        good = self.responses.good_rows(entry.closure)
+        mask = self.responses.state_mask
+        for code, ref, bad in zip(entry.closure.tolist(), good, entry.words):
+            self._rows[code] = (ref, ref & mask, bad, bad & mask)
 
     def discover(self, reachable: list[int]) -> None:
         """Find this fault's distinct activation branches (once per fault).
@@ -961,12 +820,11 @@ class _FaultExtractor:
         frontier = self.frontier
         if frontier.branches is not None:
             return
-        self.bad.ensure(reachable)
+        self._load()
         activations = 0
         seen: set[tuple[int, int, int]] = set()
         for code in reachable:
-            good_packed, good_next = self.good.info(code)
-            bad_packed, bad_next = self.bad.info(code)
+            good_packed, good_next, bad_packed, bad_next = self._rows[code]
             diffs = good_packed ^ bad_packed
             nonzero = np.flatnonzero(diffs)
             activations += int(nonzero.shape[0])
@@ -1141,8 +999,9 @@ class _FaultExtractor:
         cached = self._step_memo.get(key)
         if cached is not None:
             return cached
-        ref_packed, ref_next = self.good.info(reference)
-        bad_packed, bad_next = self.bad.info(faulty)
+        self._load()
+        ref_packed, ref_next = self._rows[reference][:2]
+        bad_packed, bad_next = self._rows[faulty][2:]
         diffs = (ref_packed ^ bad_packed).tolist()
         if self.trajectory:
             branches = set(zip(diffs, ref_next.tolist(), bad_next.tolist()))
@@ -1245,23 +1104,3 @@ def _merge_branches(
     if not parts:
         return np.zeros((0, depth), dtype=np.uint64)
     return np.concatenate(parts) if len(parts) > 1 else parts[0]
-
-
-def _patterns(
-    synthesis: SynthesisResult, codes: list[int], alphabet: np.ndarray
-) -> np.ndarray:
-    """(len(codes) * len(alphabet), r + s) pattern matrix, code-major order."""
-    r = synthesis.num_inputs
-    s = synthesis.num_state_bits
-    input_bits = ((alphabet[:, None] >> np.arange(r)) & 1).astype(np.uint8)
-    code_array = np.asarray(codes, dtype=np.int64)
-    state_bits = ((code_array[:, None] >> np.arange(s)) & 1).astype(np.uint8)
-    tiled_inputs = np.tile(input_bits, (len(codes), 1))
-    repeated_states = np.repeat(state_bits, alphabet.shape[0], axis=0)
-    return np.concatenate([tiled_inputs, repeated_states], axis=1)
-
-
-def _pack_bits(responses: np.ndarray) -> np.ndarray:
-    """Pack (P, n) 0/1 responses into int64 words (bit j = column j)."""
-    weights = (1 << np.arange(responses.shape[1], dtype=np.int64)).astype(np.int64)
-    return responses.astype(np.int64) @ weights

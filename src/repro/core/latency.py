@@ -24,15 +24,9 @@ from __future__ import annotations
 import networkx as nx
 import numpy as np
 
-from repro.core.detectability import (
-    TableConfig,
-    _StateEvaluator,
-    _pack_bits,
-    _patterns,
-    input_alphabet,
-    reachable_state_codes,
-)
-from repro.faults.model import Fault, FaultModel
+from repro.core.detectability import TableConfig, input_alphabet
+from repro.faults.model import FaultModel
+from repro.faults.responses import FaultResponse, responses_for
 from repro.logic.synthesis import SynthesisResult
 
 
@@ -43,14 +37,14 @@ def max_useful_latency(
 ) -> int:
     """Largest latency bound that can still add detection flexibility."""
     alphabet, _ = input_alphabet(synthesis, config)
-    good = _StateEvaluator(synthesis, alphabet)
-    reachable = reachable_state_codes(synthesis, alphabet)
-    good.ensure(reachable)
+    responses = responses_for(synthesis, fault_model, alphabet)
+    reachable = responses.good_reachable
+    good = responses.good_rows(reachable)
 
     overall = 1
     for fault in fault_model.faults():
         cycle = _shortest_faulty_cycle(
-            synthesis, fault_model, fault, alphabet, good, reachable
+            responses.response(fault), reachable, good, responses.state_mask
         )
         if cycle is not None:
             overall = max(overall, cycle)
@@ -58,45 +52,32 @@ def max_useful_latency(
 
 
 def _shortest_faulty_cycle(
-    synthesis: SynthesisResult,
-    fault_model: FaultModel,
-    fault: Fault,
-    alphabet: np.ndarray,
-    good: _StateEvaluator,
+    entry: FaultResponse,
     reachable: list[int],
+    good: np.ndarray,
+    state_mask: np.int64,
 ) -> int | None:
     """Shortest cycle of the faulty machine reachable from an activation."""
-    state_mask = (1 << synthesis.num_state_bits) - 1
-
-    def faulty_rows(codes: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Per code: packed faulty responses and faulty next-state codes."""
-        patterns = _patterns(synthesis, codes, alphabet)
-        packed = _pack_bits(fault_model.faulty_responses(fault, patterns))
-        packed = packed.reshape(len(codes), -1)
-        return packed, packed & state_mask
+    index = {code: row for row, code in enumerate(entry.closure.tolist())}
+    next_codes = entry.words & state_mask
 
     # Activation states: faulty next-states of erroneous reachable transitions.
-    packed, next_codes = faulty_rows(reachable)
-    activations: set[int] = set()
-    for idx, code in enumerate(reachable):
-        good_packed, _ = good.info(code)
-        diffs = good_packed ^ packed[idx]
-        activations.update(
-            int(nxt) for nxt, diff in zip(next_codes[idx], diffs) if int(diff)
-        )
+    rows = [index[code] for code in reachable]
+    erroneous = good != entry.words[rows]
+    activations = set(next_codes[rows][erroneous].tolist())
     if not activations:
         return None
 
-    # Close the faulty machine's transition relation from the activations.
+    # Close the faulty machine's transition relation from the activations
+    # (it stays inside the fault's closure).
     graph = nx.DiGraph()
     graph.add_nodes_from(activations)
     frontier = sorted(activations)
     seen = set(frontier)
     while frontier:
-        _, successor_rows = faulty_rows(frontier)
         next_frontier: list[int] = []
-        for code, row in zip(frontier, successor_rows):
-            for nxt in {int(v) for v in row}:
+        for code in frontier:
+            for nxt in set(next_codes[index[code]].tolist()):
                 graph.add_edge(code, nxt)
                 if nxt not in seen:
                     seen.add(nxt)

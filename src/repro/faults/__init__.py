@@ -12,7 +12,6 @@ from repro.faults.collapse import (
     CollapseReport,
     FaultClass,
     FaultSelection,
-    SignatureEngine,
     collapse_classes,
     collapse_faults,
     select_stuck_at_faults,
@@ -24,6 +23,7 @@ from repro.faults.model import (
     TransitionFaultModel,
     stuck_at_universe,
 )
+from repro.faults.responses import FaultResponse, FaultResponses
 from repro.faults.simulator import FaultSimResult, detected_faults, fault_coverage
 
 __all__ = [
@@ -31,9 +31,10 @@ __all__ = [
     "Fault",
     "FaultClass",
     "FaultModel",
+    "FaultResponse",
+    "FaultResponses",
     "FaultSelection",
     "FaultSimResult",
-    "SignatureEngine",
     "StuckAtModel",
     "TransitionFaultModel",
     "collapse_classes",

@@ -21,36 +21,29 @@ output directly and are not equivalent to the kept downstream gate fault.
 XOR/XNOR inputs are never equivalent to output faults: keep all.
 
 **Functional signature classes** (behavior-exact, much stronger): every
-structurally-kept fault's faulty output+next-state response is simulated
-over the full ``2**s × alphabet`` analysis block with the packed uint64
-kernel (:class:`repro.logic.sim.PackedSimulator`), and faults with
-byte-identical packed signatures — hash first, exact byte compare to
-confirm — are grouped into one :class:`FaultClass`.  The signature is the
-response restricted to the fault's *observable closure*: the state codes
-reachable from the good machine's reachable set under the faulty
-transition function.  Every downstream consumer — table extraction, the
-exhaustive product search, the alphabet-restricted fuzzer, witness replay
-— starts inside the good-reachable set and walks faulty transitions from
-there, so it can only ever evaluate a fault on closure × alphabet cells:
-two faults with equal closures and byte-identical responses there produce
-identical table rows, identical exhaustive verdicts (status, exact
-worst-case latency, activation counts, witnesses) and identical fuzzer
-runs, for **every** latency.  Checking one representative per class and
-weighting its verdict by the class multiplicity therefore reproduces the
-full universe's latency histograms and fault counts exactly.  The one
-documented caveat: class membership is exact with respect to the
-analysis input alphabet (the default-knob
-:func:`repro.core.detectability.input_alphabet`); driving members with
-off-alphabet inputs (``restrict_to_alphabet=False`` fuzzing) may
-distinguish them in that unanalyzed space.  Machines whose block exceeds
-the pattern budget skip the functional pass and fall back to structural
-classes only.
+structurally-kept fault's entry in the shared
+:class:`repro.faults.responses.FaultResponses` block — its output+next-state
+words over its *observable closure* × the analysis alphabet, one packed
+cone re-sweep — is hashed, and faults with byte-identical entries (hash
+first, exact byte compare to confirm) form one :class:`FaultClass`.  Every
+downstream consumer (table extraction, the exhaustive product search, the
+alphabet-restricted fuzzer, witness replay) only ever evaluates a fault
+on closure × alphabet cells, so class members produce identical table
+rows, exhaustive verdicts and fuzzer runs for **every** latency: checking
+one representative and weighting its verdict by the class multiplicity
+reproduces the full universe's histograms and counts exactly.  The
+representatives' entries stay in the block, so table extraction and the
+exhaustive verifier never simulate them again.  Class membership is
+exact with respect to the analysis alphabet only; off-alphabet inputs
+(``restrict_to_alphabet=False`` fuzzing) may distinguish members.
+Machines whose block exceeds the pattern budget skip the functional pass
+and keep structural classes.
 
 :func:`select_stuck_at_faults` is the one shared selection recipe
-(universe → collapse → seeded subsample) used by both
-:meth:`repro.faults.model.StuckAtModel.faults` and the exhaustive
-verifier's :func:`repro.verification.exhaustive.collapsed_fault_list`, so
-the two can never drift apart on the same seed.
+(universe → collapse → seeded subsample) behind
+:meth:`repro.faults.model.StuckAtModel.selection`, which table
+extraction and the exhaustive verifier both read, so the two can never
+drift apart on the same seed.
 """
 
 from __future__ import annotations
@@ -61,18 +54,17 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.faults.responses import (
+    DEFAULT_BLOCK_LIMIT,
+    FaultResponses,
+    analysis_alphabet,
+)
 from repro.logic.netlist import GateKind, Netlist
 from repro.runtime.trace import current_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.model import Fault
     from repro.logic.synthesis import SynthesisResult
-
-#: Skip the functional signature pass above this many analysis-block
-#: patterns (``2**s × |alphabet|``).  Every bundled benchmark fits
-#: comfortably (max 4096); the budget guards externally supplied machines
-#: with wide state words.
-DEFAULT_SIGNATURE_PATTERN_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -197,89 +189,24 @@ def _payload(fault: "Fault") -> tuple[int, int]:
 # ----------------------------------------------------------------------
 # Functional signature classes
 # ----------------------------------------------------------------------
-class SignatureEngine:
-    """Observable-closure response signatures over the analysis block.
-
-    The block is ``2**s × alphabet`` (every state code crossed with the
-    default-knob :func:`repro.core.detectability.input_alphabet`) — the
-    exact cell space table extraction, the exhaustive product search and
-    the alphabet-restricted fuzzer evaluate faults on.
-    ``signature(payload)`` returns the byte-exact observable behaviour of
-    the faulty machine: the closure of state codes reachable from the
-    good machine's reachable set under the faulty transition function,
-    followed by the packed output+next-state words at every closure ×
-    alphabet cell.  Two faults with byte-identical signatures are driven
-    through identical trajectories and emit identical words at every cell
-    any downstream consumer can reach, so their table rows, exhaustive
-    verdicts (status, exact worst-case latency, activation counts,
-    witnesses) and fuzzer runs coincide for every latency.
-
-    ``available`` is ``False`` when the machine has no observed outputs or
-    the block exceeds ``max_patterns``; callers then skip the pass.
-    """
-
-    def __init__(
-        self,
-        synthesis: "SynthesisResult",
-        max_patterns: int = DEFAULT_SIGNATURE_PATTERN_LIMIT,
-    ) -> None:
-        from repro.core.detectability import (
-            TableConfig,
-            _pack_bits,
-            _patterns,
-            input_alphabet,
-            reachable_state_codes,
-        )
-        from repro.logic.sim import PackedSimulator
-
-        netlist = synthesis.netlist
-        alphabet, _ = input_alphabet(synthesis, TableConfig())
-        self.num_states = 1 << synthesis.num_state_bits
-        self.num_inputs = int(alphabet.shape[0])
-        self.num_patterns = self.num_states * self.num_inputs
-        self.available = (
-            bool(netlist.output_ids) and self.num_patterns <= max_patterns
-        )
-        if not self.available:
-            return
-        self._pack_bits = _pack_bits
-        self.good_reachable = reachable_state_codes(synthesis, alphabet)
-        patterns = _patterns(synthesis, list(range(self.num_states)), alphabet)
-        self.simulator = PackedSimulator(netlist, patterns)
-        self.state_mask = np.int64(self.num_states - 1)
-
-    def signature(self, payload: tuple[int, int]) -> bytes:
-        """Byte-exact observable behaviour of the fault. See class doc."""
-        words = self._pack_bits(
-            self.simulator.faulty_outputs(payload)
-        ).reshape(self.num_states, self.num_inputs)
-        next_state = (words & self.state_mask).astype(np.int64)
-        seen = np.zeros(self.num_states, dtype=bool)
-        frontier = np.asarray(self.good_reachable, dtype=np.int64)
-        seen[frontier] = True
-        while frontier.size:
-            successors = np.unique(next_state[frontier])
-            fresh = successors[~seen[successors]]
-            seen[fresh] = True
-            frontier = fresh
-        closure = np.nonzero(seen)[0]
-        return closure.tobytes() + words[closure].tobytes()
-
-
 def collapse_classes(
     synthesis: "SynthesisResult",
     faults: list["Fault"],
     signature: bool = True,
-    max_patterns: int = DEFAULT_SIGNATURE_PATTERN_LIMIT,
+    max_patterns: int = DEFAULT_BLOCK_LIMIT,
+    responses: FaultResponses | None = None,
 ) -> CollapseReport:
     """Group ``faults`` into behavior-equivalence classes.
 
     The structural pass folds gate-local equivalences; the signature pass
     (when the analysis block fits ``max_patterns``) then merges every pair
-    of survivors with byte-identical :class:`SignatureEngine` signatures.
-    Class order follows the representative's position in ``faults``;
-    member order within a class is deterministic (the representative
-    always first).
+    of survivors with byte-identical
+    :attr:`~repro.faults.responses.FaultResponse.signature` bytes.
+    ``responses`` is the analysis-alphabet block to fill (a fresh one is
+    built when omitted); the entries of surviving representatives stay in
+    it for table extraction and verification.  Class order follows the
+    representative's position in ``faults``; member order within a class
+    is deterministic (the representative always first).
     """
     netlist = synthesis.netlist
     universe = list(faults)
@@ -311,11 +238,12 @@ def collapse_classes(
     structural = len(order)
 
     patterns_used = 0
-    if signature:
-        engine = SignatureEngine(synthesis, max_patterns=max_patterns)
-        if engine.available:
-            order = _merge_by_signature(engine, grouped, order)
-            patterns_used = engine.num_patterns
+    if signature and netlist.output_ids:
+        if responses is None:
+            responses = FaultResponses(synthesis, analysis_alphabet(synthesis))
+        if responses.num_patterns <= max_patterns:
+            order = _merge_by_signature(responses, grouped, order)
+            patterns_used = responses.num_patterns
 
     classes = tuple(
         FaultClass(
@@ -333,7 +261,7 @@ def collapse_classes(
 
 
 def _merge_by_signature(
-    engine: SignatureEngine,
+    responses: "FaultResponses",
     grouped: dict[tuple[int, int], list["Fault"]],
     order: list[tuple[int, int]],
 ) -> list[tuple[int, int]]:
@@ -345,18 +273,17 @@ def _merge_by_signature(
     of merged classes are appended to the surviving representative's list)
     and returns the surviving class order.
     """
-    buckets: dict[bytes, list[tuple[bytes, tuple[int, int]]]] = {}
+    buckets: dict[bytes, list[tuple[int, int]]] = {}
     kept: list[tuple[int, int]] = []
     for payload in order:
-        signature = engine.signature(payload)
-        digest = hashlib.sha256(signature).digest()
-        bucket = buckets.setdefault(digest, [])
-        for candidate_signature, keeper in bucket:
-            if candidate_signature == signature:  # exact confirm
+        signature = responses.response(grouped[payload][0]).signature
+        bucket = buckets.setdefault(hashlib.sha256(signature).digest(), [])
+        for keeper in bucket:
+            if responses.response(grouped[keeper][0]).signature == signature:
                 grouped[keeper].extend(grouped.pop(payload))
                 break
         else:
-            bucket.append((signature, payload))
+            bucket.append(payload)
             kept.append(payload)
     return kept
 
@@ -406,7 +333,8 @@ def select_stuck_at_faults(
     signature: bool = True,
     max_faults: int | None = None,
     seed: int = 2004,
-    max_patterns: int = DEFAULT_SIGNATURE_PATTERN_LIMIT,
+    max_patterns: int = DEFAULT_BLOCK_LIMIT,
+    responses: FaultResponses | None = None,
 ) -> FaultSelection:
     """Universe → collapse → seeded subsample, with class bookkeeping.
 
@@ -414,7 +342,8 @@ def select_stuck_at_faults(
     exhaustive verifier: identical arguments always yield the identical
     checked list (the subsample uses the historical
     ``rng_for(seed, "stuck-at-sample", fsm.name)`` stream over the
-    collapsed list).
+    collapsed list).  ``responses`` is the block the signature pass fills
+    (see :func:`collapse_classes`).
     """
     from repro.faults.model import stuck_at_universe
     from repro.util.rng import rng_for
@@ -423,7 +352,11 @@ def select_stuck_at_faults(
     universe = stuck_at_universe(netlist, include_inputs)
     if collapse:
         report = collapse_classes(
-            synthesis, universe, signature=signature, max_patterns=max_patterns
+            synthesis,
+            universe,
+            signature=signature,
+            max_patterns=max_patterns,
+            responses=responses,
         )
         classes = report.classes
         structural = report.structural

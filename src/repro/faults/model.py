@@ -2,8 +2,9 @@
 
 The CED flow needs exactly one thing from a fault model: a way to evaluate
 the *faulty* combinational response for a batch of (input, present-state)
-patterns.  :class:`FaultModel` captures that contract; two concrete models
-are provided:
+patterns; :mod:`repro.faults.responses` turns that into the one shared
+response block every consumer reads.  :class:`FaultModel` captures that
+contract; two concrete models are provided:
 
 * :class:`StuckAtModel` — single stuck-at faults on every netlist node
   (gate outputs and primary inputs), the model used in the paper's
@@ -26,7 +27,7 @@ import numpy as np
 
 from repro.fsm.machine import FSM, Transition
 from repro.logic.netlist import GateKind, Netlist
-from repro.logic.sim import PackedSimulator, evaluate_batch
+from repro.logic.sim import evaluate_batch
 from repro.logic.synthesis import SynthesisResult, synthesize_fsm
 from repro.util.rng import rng_for
 
@@ -40,7 +41,14 @@ class Fault:
 
 
 class FaultModel(Protocol):
-    """What the detectability extractor needs from a fault model."""
+    """What the detectability extractor needs from a fault model.
+
+    Consumers read faulty behaviour through one shared
+    :class:`repro.faults.responses.FaultResponses` block.  A model may
+    memoize its own block behind an optional ``responses(alphabet)``
+    method (:class:`StuckAtModel` does); any other model's block is
+    filled through :meth:`faulty_responses`.
+    """
 
     def faults(self) -> list[Fault]:
         """The fault universe."""
@@ -48,18 +56,6 @@ class FaultModel(Protocol):
 
     def faulty_responses(self, fault: Fault, patterns: np.ndarray) -> np.ndarray:
         """(P, n) responses of the faulty machine on (input, state) patterns."""
-        ...
-
-    def batch_simulator(self, patterns: np.ndarray) -> "PackedSimulator | None":
-        """Optional shared simulator for whole-universe sweeps.
-
-        Models whose faults are netlist modifications return a
-        :class:`repro.logic.sim.PackedSimulator` over ``patterns`` — the
-        extractor then computes the fault-free packed values once and
-        evaluates every fault as a cone-restricted re-sweep.  Models that
-        need a per-fault re-synthesis return ``None`` and are served
-        through :meth:`faulty_responses`.
-        """
         ...
 
 
@@ -123,13 +119,15 @@ class StuckAtModel:
         if cached is None:
             from repro.faults.collapse import select_stuck_at_faults
 
+            signature = self.collapse and self.signature_collapse
             cached = select_stuck_at_faults(
                 self.synthesis,
                 include_inputs=self.include_inputs,
                 collapse=self.collapse,
-                signature=self.collapse and self.signature_collapse,
+                signature=signature,
                 max_faults=self.max_faults,
                 seed=self.seed,
+                responses=self.responses() if signature else None,
             )
             self.__dict__["_selection"] = cached
         return cached
@@ -147,12 +145,28 @@ class StuckAtModel:
         :meth:`faults`); sums to the universe share the list stands for."""
         return [cls.multiplicity for cls in self.selection().checked_classes]
 
+    def responses(self, alphabet: np.ndarray | None = None):
+        """The shared :class:`~repro.faults.responses.FaultResponses` block
+        over ``alphabet`` (default: the analysis alphabet collapsing uses),
+        built on first use and memoized like :meth:`selection`.
+
+        Collapse fills it while hashing signatures; table extraction, the
+        latency analysis and the exhaustive verifier then read the same
+        entries instead of re-simulating.
+        """
+        from repro.faults.responses import FaultResponses, analysis_alphabet
+
+        if alphabet is None:
+            alphabet = analysis_alphabet(self.synthesis)
+        memo = self.__dict__.setdefault("_responses", {})
+        key = np.asarray(alphabet, dtype=np.int64).tobytes()
+        if key not in memo:
+            memo[key] = FaultResponses(self.synthesis, alphabet)
+        return memo[key]
+
     def faulty_responses(self, fault: Fault, patterns: np.ndarray) -> np.ndarray:
         node, value = fault.payload  # type: ignore[misc]
         return evaluate_batch(self.synthesis.netlist, patterns, fault=(node, value))
-
-    def batch_simulator(self, patterns: np.ndarray) -> PackedSimulator:
-        return PackedSimulator(self.synthesis.netlist, patterns)
 
 
 # ----------------------------------------------------------------------
@@ -192,10 +206,6 @@ class TransitionFaultModel:
         synthesis = self._faulty_synthesis(fault)
         return evaluate_batch(synthesis.netlist, patterns)
 
-    def batch_simulator(self, patterns: np.ndarray) -> None:
-        """Transition faults require re-synthesis; no shared simulator."""
-        return None
-
     def _faulty_synthesis(self, fault: Fault) -> SynthesisResult:
         if self._cache is None:
             self._cache = {}
@@ -222,13 +232,6 @@ class TransitionFaultModel:
         )
         self._cache[fault.name] = synthesis
         return synthesis
-
-
-def good_responses(
-    synthesis: SynthesisResult, patterns: np.ndarray
-) -> np.ndarray:
-    """(P, n) fault-free responses, column order ns bits then outputs."""
-    return evaluate_batch(synthesis.netlist, patterns)
 
 
 def is_netlist_fault(fault: Fault) -> bool:

@@ -284,6 +284,10 @@ class CedDesign:
     #: ``None`` whenever no knowledge-base incumbent was injected, so
     #: cold-path designs are indistinguishable from pre-knowledge builds.
     warm_start: dict | None = None
+    #: The fault model the table was extracted for.  A cold extraction
+    #: leaves its fault selection and response block memoized on it, so
+    #: verification reuses them; a warm design has built neither.
+    fault_model: FaultModel | None = None
 
     @property
     def num_parity_bits(self) -> int:
@@ -489,6 +493,7 @@ def design_ced_sweep(
                 solve_result=results[latency],
                 hardware=hardware,
                 warm_start=warm_meta,
+                fault_model=fault_model,
             )
     if active is not None:
         _record_designs(

@@ -71,6 +71,17 @@ def _common_body(
     from repro.runtime.cache import fingerprint
 
     synthesis = design.synthesis
+    design_body = {
+        "q": design.num_parity_bits,
+        "betas": [int(beta) for beta in design.solve_result.betas],
+        "source": design.solve_result.incumbent_source,
+        "gates": design.gates,
+        "cost": float(design.cost),
+    }
+    # Present only when true, so certificates of complete tables keep
+    # their bytes: a capped table may omit the very paths that escape.
+    if design.table.stats is not None and design.table.stats.truncated:
+        design_body["table_truncated"] = True
     return {
         "schema": CERTIFICATE_SCHEMA,
         "kind": CERTIFICATE_KIND,
@@ -85,13 +96,7 @@ def _common_body(
             "state_budget": config.state_budget,
         },
         "fingerprint": fingerprint("certificate", fsm_name, config),
-        "design": {
-            "q": design.num_parity_bits,
-            "betas": [int(beta) for beta in design.solve_result.betas],
-            "source": design.solve_result.incumbent_source,
-            "gates": design.gates,
-            "cost": float(design.cost),
-        },
+        "design": design_body,
         "machine": {
             "inputs": synthesis.num_inputs,
             "state_bits": synthesis.num_state_bits,
@@ -298,9 +303,10 @@ def render_certificate(certificate: dict) -> str:
     config = certificate["config"]
     status = "BOUND HOLDS" if summary["bound_holds"] else "BOUND VIOLATED"
     mode = certificate["mode"]
+    truncated = ", table truncated" if design.get("table_truncated") else ""
     lines = [
         f"{certificate['circuit']}: {status} "
-        f"(p={config['latency']}, mode={mode})",
+        f"(p={config['latency']}, mode={mode}{truncated})",
         f"  design: q={design['q']} betas={design['betas']} "
         f"source={design['source']} gates={design['gates']}",
         f"  faults: {faults['checked']} representatives checked, "

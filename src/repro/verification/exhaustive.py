@@ -11,14 +11,14 @@ which the last undetected frontier empties — or some path survives
 undetected and a concrete, replayable **escape witness** (an input
 sequence from reset) is extracted.
 
-The search never steps a simulator cycle by cycle.  All per-fault data is
-precomputed with the packed uint64 kernel (:mod:`repro.logic.sim`) over
-the full ``2**s states x alphabet`` pattern block: the fault-free
-transition words, the predictor outputs, and — per fault, via the
-cone-restricted :class:`~repro.logic.sim.PackedSimulator` re-sweep — the
-faulty words.  From these three matrices, error (``E``), detection
-(``D``) and faulty next-state (``NF``) matrices follow by word-parallel
-bit algebra, and each BFS level is a numpy gather.
+The search never steps a simulator cycle by cycle.  It reads three
+``2**s states x alphabet`` word matrices: the fault-free transition words
+and, per fault, the faulty words — both from the shared
+:class:`~repro.faults.responses.FaultResponses` block the fault selection
+already filled — plus the predictor outputs, evaluated once per design.
+From these matrices, error (``E``), detection (``D``) and faulty
+next-state (``NF``) matrices follow by word-parallel bit algebra, and
+each BFS level is a numpy gather.
 
 Semantics match :func:`repro.ced.verify.verify_bounded_latency` exactly:
 
@@ -53,15 +53,11 @@ from typing import Sequence
 import numpy as np
 
 from repro.ced.hardware import CedHardware
-from repro.core.detectability import (
-    TableConfig,
-    _pack_bits,
-    _patterns,
-    input_alphabet,
-)
-from repro.faults.collapse import FaultSelection, select_stuck_at_faults
-from repro.faults.model import Fault, is_netlist_fault
-from repro.logic.sim import PackedSimulator, evaluate_batch
+from repro.core.detectability import TableConfig, input_alphabet
+from repro.faults.collapse import FaultSelection
+from repro.faults.model import Fault, StuckAtModel, is_netlist_fault
+from repro.faults.responses import FaultResponses, block_patterns, pack_words
+from repro.logic.sim import evaluate_batch
 from repro.logic.synthesis import SynthesisResult
 from repro.runtime.trace import current_tracer
 
@@ -162,15 +158,6 @@ class ExhaustiveReport:
                 )
         return counts
 
-    def counts(self) -> dict[str, int]:
-        """Verdict counts over the checked representatives."""
-        return {
-            "checked": len(self.verdicts),
-            "idle": sum(1 for v in self.verdicts if v.status == "idle"),
-            "proved": sum(1 for v in self.verdicts if v.status == "proved"),
-            "escaped": len(self.escapes),
-        }
-
     def universe_counts(self) -> dict[str, int]:
         """Multiplicity-expanded verdict counts (full-universe faithful)."""
         totals = {"checked": 0, "idle": 0, "proved": 0, "escaped": 0}
@@ -193,6 +180,7 @@ def exhaustive_check(
     input_mode: str | None = None,
     max_witnesses: int = 8,
     multiplicities: "dict[str, int] | None" = None,
+    responses: FaultResponses | None = None,
 ) -> ExhaustiveReport:
     """Exact bounded-latency check of built CED hardware.
 
@@ -201,7 +189,9 @@ def exhaustive_check(
     ``multiplicities`` (fault name → behavior-equivalence class size)
     weights each verdict so report histograms and universe counts stay
     faithful to the full fault universe when ``faults`` holds one
-    representative per class.
+    representative per class.  ``responses`` is a response block over
+    ``alphabet`` to read faulty words from (typically the fault model's,
+    already filled by collapsing); a fresh one is built when omitted.
     """
     if latency < 1:
         raise ValueError("latency must be at least 1")
@@ -210,40 +200,35 @@ def exhaustive_check(
             synthesis, TableConfig(latency=latency)
         )
     alphabet = np.asarray(alphabet, dtype=np.int64)
-    s = synthesis.num_state_bits
-    num_states = 1 << s
-    num_inputs = int(alphabet.shape[0])
-    state_mask = np.int64(num_states - 1)
+    if responses is None:
+        responses = FaultResponses(synthesis, alphabet)
+    elif not np.array_equal(responses.alphabet, alphabet):
+        raise ValueError("response block was built over another alphabet")
+    num_states = responses.num_states
+    num_inputs = responses.num_inputs
+    state_mask = responses.state_mask
     reset = synthesis.reset_code
 
-    # One pattern block covers every (state code, alphabet input) pair —
-    # the faulty machine may wander into codes the good machine never
-    # uses, so all 2**s codes are enumerated.  Row = code * |A| + input.
-    patterns = _patterns(synthesis, list(range(num_states)), alphabet)
-    good_words = _pack_bits(
-        evaluate_batch(synthesis.netlist, patterns)
-    ).reshape(num_states, num_inputs)
+    # The faulty machine may wander into codes the good machine never
+    # uses, so all 2**s codes are enumerated.  Row = code, column = input.
+    good_words = responses.good_rows(range(num_states))
     betas = hardware.betas
     if betas:
-        predicted = _pack_bits(
+        patterns = block_patterns(synthesis, range(num_states), alphabet)
+        predicted = pack_words(
             evaluate_batch(hardware.predictor.netlist, patterns)
         ).reshape(num_states, num_inputs)
     else:
         predicted = np.zeros((num_states, num_inputs), dtype=np.int64)
-
-    simulator = PackedSimulator(synthesis.netlist, patterns)
-    good_next = (good_words & state_mask).astype(np.int64)
-    no_error = np.zeros((num_states, num_inputs), dtype=bool)
-    good_reach, _ = _restricted_reachable(good_next, no_error, reset)
 
     tracer = current_tracer()
     report = ExhaustiveReport(
         latency=latency,
         alphabet=[int(a) for a in alphabet],
         input_mode=input_mode or "exhaustive",
-        num_state_bits=s,
-        num_patterns=int(patterns.shape[0]),
-        reachable_good=[int(c) for c in np.nonzero(good_reach)[0]],
+        num_state_bits=synthesis.num_state_bits,
+        num_patterns=responses.num_patterns,
+        reachable_good=[int(code) for code in responses.good_reachable],
     )
     activation_union = np.zeros(num_states, dtype=bool)
     witnesses_left = max_witnesses
@@ -259,9 +244,14 @@ def exhaustive_check(
         for fault in faults:
             if not is_netlist_fault(fault):
                 continue
+            # Rows outside the fault's closure keep the fault-free words:
+            # no search from reset reaches them.
+            entry = responses.response(fault)
+            faulty_words = good_words.copy()
+            faulty_words[entry.closure] = entry.words
             verdict, act_reach = _check_fault(
                 fault=fault,
-                simulator=simulator,
+                faulty_words=faulty_words,
                 good_words=good_words,
                 predicted=predicted,
                 betas=betas,
@@ -269,7 +259,6 @@ def exhaustive_check(
                 reset=reset,
                 latency=latency,
                 alphabet=alphabet,
-                shape=(num_states, num_inputs),
                 want_witness=witnesses_left > 0,
             )
             if multiplicities is not None:
@@ -297,7 +286,7 @@ def exhaustive_check(
 
 def _check_fault(
     fault: Fault,
-    simulator: PackedSimulator,
+    faulty_words: np.ndarray,
     good_words: np.ndarray,
     predicted: np.ndarray,
     betas: list[int],
@@ -305,20 +294,14 @@ def _check_fault(
     reset: int,
     latency: int,
     alphabet: np.ndarray,
-    shape: tuple[int, int],
     want_witness: bool,
 ) -> tuple[FaultVerdict, np.ndarray]:
     """Exact verdict for one fault plus its activation-reachable mask."""
-    num_states, num_inputs = shape
-    node, value = fault.payload  # type: ignore[misc]
-    faulty_words = _pack_bits(
-        simulator.faulty_outputs((int(node), int(value)))
-    ).reshape(num_states, num_inputs)
     erroneous = faulty_words != good_words
     if betas:
         detected = _parity_words(faulty_words, betas) != predicted
     else:
-        detected = np.zeros(shape, dtype=bool)
+        detected = np.zeros(faulty_words.shape, dtype=bool)
     next_state = (faulty_words & state_mask).astype(np.int64)
 
     # Activation points: reachable through error-free faulty transitions
@@ -498,24 +481,6 @@ def replay_witness(
 # ----------------------------------------------------------------------
 # Benchmark-level driver (cache / campaign / service / CLI entry point)
 # ----------------------------------------------------------------------
-def collapsed_fault_list(
-    synthesis: SynthesisResult, max_faults: int | None, seed: int
-) -> tuple[int, int, list[Fault]]:
-    """(universe size, structurally-collapsed size, checked list).
-
-    Thin compatibility wrapper over
-    :func:`repro.faults.collapse.select_stuck_at_faults` — the one shared
-    selection recipe :meth:`repro.faults.model.StuckAtModel.faults` uses —
-    so the exhaustive engine and the sampled verifier can never drift
-    apart on the same seed.  Callers needing class multiplicities should
-    use :func:`~repro.faults.collapse.select_stuck_at_faults` directly.
-    """
-    selection = select_stuck_at_faults(
-        synthesis, max_faults=max_faults, seed=seed
-    )
-    return selection.universe, selection.structural, list(selection.checked)
-
-
 def verify_exhaustive(
     fsm,
     config: ExhaustiveConfig = ExhaustiveConfig(),
@@ -529,7 +494,6 @@ def verify_exhaustive(
     stage; cached servings are byte-identical to fresh computations (the
     certificate contains no wall-clock data).
     """
-    from repro.core.search import SolveConfig
     from repro.fsm.benchmarks import load_benchmark
     from repro.runtime.cache import NullCache, cached_call, fingerprint
     from repro.runtime.metrics import MetricsRecorder
@@ -545,16 +509,15 @@ def verify_exhaustive(
             cache,
             "certificate",
             fingerprint("verify-exhaustive", fsm, config, degraded),
-            lambda: _compute_certificate(
-                fsm, config, cache, recorder, degraded, SolveConfig
-            ),
+            lambda: _compute_certificate(fsm, config, cache, recorder, degraded),
         )
     return certificate
 
 
 def _compute_certificate(
-    fsm, config: ExhaustiveConfig, cache, recorder, degraded, solve_config_cls
+    fsm, config: ExhaustiveConfig, cache, recorder, degraded
 ) -> dict:
+    from repro.core.search import SolveConfig
     from repro.flow import design_ced
     from repro.verification.certificate import (
         build_exhaustive_certificate,
@@ -567,16 +530,23 @@ def _compute_certificate(
         semantics=config.semantics,
         encoding=config.encoding,
         max_faults=config.max_faults,
-        solve_config=solve_config_cls(seed=config.seed),
+        solve_config=SolveConfig(seed=config.seed),
         multilevel=config.multilevel,
         cache=cache,
         recorder=recorder,
         degraded=degraded,
     )
     synthesis = design.synthesis
-    selection: FaultSelection = select_stuck_at_faults(
-        synthesis, max_faults=config.max_faults, seed=config.seed
-    )
+    # The design's model already selected (and simulated) the faults its
+    # tables were extracted from; a warm design has not, and selects here.
+    # design_ced samples with the default seed, so another seed selects
+    # afresh.
+    model = design.fault_model
+    if (model.max_faults, model.seed) != (config.max_faults, config.seed):
+        model = StuckAtModel(
+            synthesis, max_faults=config.max_faults, seed=config.seed
+        )
+    selection: FaultSelection = model.selection()
     faults = list(selection.checked)
     alphabet, input_mode = input_alphabet(
         synthesis, TableConfig(latency=config.latency)
@@ -618,6 +588,7 @@ def _compute_certificate(
         input_mode=input_mode,
         max_witnesses=config.max_witnesses,
         multiplicities=selection.multiplicities(),
+        responses=model.responses(alphabet),
     )
     return build_exhaustive_certificate(
         fsm_name=synthesis.fsm.name,

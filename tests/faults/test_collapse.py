@@ -4,12 +4,12 @@ import numpy as np
 from hypothesis import given, settings
 
 from repro.faults.collapse import (
-    SignatureEngine,
     collapse_classes,
     collapse_faults,
     select_stuck_at_faults,
 )
 from repro.faults.model import StuckAtModel, stuck_at_universe
+from repro.faults.responses import FaultResponses, analysis_alphabet
 from repro.logic.netlist import GateKind, Netlist
 from repro.logic.sim import evaluate_batch
 
@@ -182,19 +182,23 @@ class TestSignatureClasses:
         universe = stuck_at_universe(vending_synthesis.netlist)
         report = collapse_classes(vending_synthesis, universe)
         assert report.num_classes < report.structural
-        engine = SignatureEngine(vending_synthesis)
-        assert engine.available
+        responses = FaultResponses(
+            vending_synthesis, analysis_alphabet(vending_synthesis)
+        )
+        assert responses.dense
         for cls in report.classes:
-            reference = engine.signature(cls.representative.payload)
+            reference = responses.response(cls.representative).signature
             for member in cls.members[1:]:
-                assert engine.signature(member.payload) == reference
+                assert responses.response(member).signature == reference
 
     def test_distinct_classes_have_distinct_signatures(self, vending_synthesis):
         universe = stuck_at_universe(vending_synthesis.netlist)
         report = collapse_classes(vending_synthesis, universe)
-        engine = SignatureEngine(vending_synthesis)
+        responses = FaultResponses(
+            vending_synthesis, analysis_alphabet(vending_synthesis)
+        )
         signatures = [
-            engine.signature(cls.representative.payload)
+            responses.response(cls.representative).signature
             for cls in report.classes
         ]
         assert len(set(signatures)) == len(signatures)
@@ -224,16 +228,16 @@ class TestSharedSelection:
         assert len(selection.checked) == selection.num_classes
 
     def test_model_and_verifier_share_the_recipe(self, traffic_synthesis):
-        from repro.verification.exhaustive import collapsed_fault_list
-
         model = StuckAtModel(traffic_synthesis, max_faults=10)
-        universe, collapsed, checked = collapsed_fault_list(
+        direct = select_stuck_at_faults(
             traffic_synthesis, max_faults=10, seed=2004
         )
-        assert [f.name for f in model.faults()] == [f.name for f in checked]
+        assert [f.name for f in model.faults()] == [
+            f.name for f in direct.checked
+        ]
         selection = model.selection()
-        assert selection.universe == universe
-        assert selection.structural == collapsed
+        assert selection.universe == direct.universe
+        assert selection.structural == direct.structural
 
     def test_subsample_keeps_class_multiplicities(self, traffic_synthesis):
         selection = select_stuck_at_faults(traffic_synthesis, max_faults=10)

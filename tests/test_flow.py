@@ -52,3 +52,38 @@ class TestSweep:
         designs = design_ced_sweep("vending", latencies=[1, 2])
         for design in designs.values():
             assert covers_all(design.table.rows, design.solve_result.betas)
+
+
+class TestLazyFaultWork:
+    def test_warm_design_builds_no_responses_or_selection(
+        self, tmp_path, monkeypatch
+    ):
+        """A warm re-request reads tables from the cache: it must neither
+        select faults nor build a response block, though both stay one
+        call away on the design's fault model."""
+        import repro.faults.collapse as collapse
+        from repro.faults.responses import FaultResponses
+        from repro.runtime.cache import ArtifactCache
+
+        cache = ArtifactCache(tmp_path)
+        design_ced("traffic", latency=2, cache=cache)
+
+        built, selected = [], []
+        init = FaultResponses.__init__
+        select = collapse.select_stuck_at_faults
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        def counting_select(*args, **kwargs):
+            selected.append(1)
+            return select(*args, **kwargs)
+
+        monkeypatch.setattr(FaultResponses, "__init__", counting_init)
+        monkeypatch.setattr(collapse, "select_stuck_at_faults", counting_select)
+        warm = design_ced("traffic", latency=2, cache=cache)
+        assert (built, selected) == ([], [])
+
+        warm.fault_model.selection()
+        assert (built, selected) == ([1], [1])

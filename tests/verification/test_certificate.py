@@ -123,3 +123,44 @@ def test_sampled_certificate_renders_and_validates():
     text = render_certificate(sampled)
     assert "mode=sampled" in text
     assert "sampled:" in text
+
+
+def test_truncated_table_is_flagged_beside_the_verdict(certificate):
+    """A capped detectability table can omit the very paths that escape
+    (styr p=4 escaped with a truncated table).  The certificate must say
+    so, and the rendered verdict line must show it."""
+    from repro.core.detectability import TableConfig
+    from repro.core.search import SolveConfig
+    from repro.faults.collapse import select_stuck_at_faults
+    from repro.flow import design_ced
+    from repro.verification.certificate import build_exhaustive_certificate
+    from repro.verification.exhaustive import exhaustive_check
+
+    config = ExhaustiveConfig(latency=2)
+    tight = TableConfig(
+        latency=2, semantics="checker",
+        max_rows_per_fault=1, max_suffixes_per_state=1,
+    )
+    design = design_ced(
+        "seqdet", latency=2, table_config=tight,
+        solve_config=SolveConfig(seed=config.seed),
+    )
+    selection = select_stuck_at_faults(
+        design.synthesis, max_faults=config.max_faults, seed=config.seed
+    )
+    report = exhaustive_check(
+        design.synthesis, design.hardware, list(selection.checked), 2,
+        multiplicities=selection.multiplicities(),
+    )
+    truncated = build_exhaustive_certificate(
+        "seqdet", config, design, report, selection
+    )
+    assert design.table.stats.truncated and not report.clean
+    assert truncated["design"]["table_truncated"] is True
+    validate_certificate(truncated)
+    verdict = render_certificate(truncated).splitlines()[0]
+    assert "BOUND VIOLATED" in verdict and "table truncated" in verdict
+
+    # Complete tables leave the field out, keeping their certificate bytes.
+    assert "table_truncated" not in certificate["design"]
+    assert "table truncated" not in render_certificate(certificate)
