@@ -261,7 +261,7 @@ def collapse_classes(
 
 
 def _merge_by_signature(
-    responses: "FaultResponses",
+    responses: FaultResponses,
     grouped: dict[tuple[int, int], list["Fault"]],
     order: list[tuple[int, int]],
 ) -> list[tuple[int, int]]:
@@ -279,7 +279,8 @@ def _merge_by_signature(
         signature = responses.response(grouped[payload][0]).signature
         bucket = buckets.setdefault(hashlib.sha256(signature).digest(), [])
         for keeper in bucket:
-            if responses.response(grouped[keeper][0]).signature == signature:
+            keeper_signature = responses.response(grouped[keeper][0]).signature
+            if keeper_signature == signature:  # exact confirm
                 grouped[keeper].extend(grouped.pop(payload))
                 break
         else:
